@@ -1,5 +1,6 @@
 #!/bin/bash
-# CI entry point: plain tier-1 build + tests, then an ASan/UBSan build that
+# CI entry point: plain tier-1 build + tests, a build of the benchmark program
+# (perfbench/) with its self-test, then an ASan/UBSan build that
 # re-runs the fast tests plus the fault-injection and renewal-simulation
 # harnesses, the R1CS optimizer-equivalence tests and reduced-budget gadget
 # audit, and a seeded ~200-scenario sweep of the scenario zoo, then a
@@ -16,6 +17,14 @@ cmake --build build -j "$(nproc)"
 
 echo "=== stage 2: tier-1 tests ==="
 (cd build && ctest --output-on-failure -j "$(nproc)")
+
+echo "=== stage 2b: benchmark program build + self-test ==="
+# perfbench/ calls the libraries' public API, so building it here fails CI
+# when a library change breaks the benchmark program. Same configuration,
+# target and build directory as perfbench/run.py.
+cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build .bench_build/perfbench --target perfbench -j "$(nproc)"
+python3 perfbench/test_stats.py
 
 echo "=== stage 3: ASan/UBSan build ==="
 cmake -B build-san -S . -DNOPE_SANITIZE=address,undefined >/dev/null

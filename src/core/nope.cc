@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <utility>
 
-#include "src/r1cs/opt/optimizer.h"
+#include "src/base/check.h"
 
 namespace nope {
 
@@ -76,16 +77,12 @@ NopeDeployment NopeTrustedSetup(DnssecHierarchy* dns, const DnsName& domain,
   if (options.managed_mode) {
     PopulateManagedWitness(dns, domain, &sample);
   }
-  ConstraintSystem cs;
-  BuildNopeStatement(&cs, deployment.params, sample);
-  if (options.optimize_circuit) {
-    // The optimizer is a pure function of the matrices, so the system built
-    // here from the sample witness and the one built at proving time from
-    // the real witness reduce to identical matrices (see src/r1cs/opt).
-    deployment.pk = groth16::Setup(Optimize(cs).cs, rng);
-  } else {
-    deployment.pk = groth16::Setup(cs, rng);
+  {
+    ConstraintSystem cs;
+    BuildNopeStatement(&cs, deployment.params, sample);
+    deployment.plan = Optimize(cs);
   }
+  deployment.pk = groth16::Setup(deployment.plan.cs, rng);
   return deployment;
 }
 
@@ -99,14 +96,18 @@ NopeProofBundle GenerateNopeProof(const NopeDeployment& deployment, DnssecHierar
   if (deployment.params.options.managed_mode) {
     PopulateManagedWitness(dns, domain, &witness);
   }
-  ConstraintSystem cs;
-  BuildNopeStatement(&cs, deployment.params, witness);
+  const OptimizeResult& plan = deployment.plan;
+  std::vector<Fr> assignment;
+  {
+    ConstraintSystem cs;
+    BuildNopeStatement(&cs, deployment.params, witness);
+    NOPE_INVARIANT(cs.NumVariables() == plan.stats.vars_before &&
+                       cs.NumConstraints() == plan.stats.constraints_before,
+                   "GenerateNopeProof: statement shape differs from the deployment's plan");
+    assignment = plan.MapAssignment(cs.values());
+  }  // the synthesized system is freed before proving
   NopeProofBundle bundle;
-  if (deployment.params.options.optimize_circuit) {
-    bundle.proof = groth16::Prove(deployment.pk, Optimize(cs).cs, rng);
-  } else {
-    bundle.proof = groth16::Prove(deployment.pk, cs, rng);
-  }
+  bundle.proof = groth16::Prove(deployment.pk, plan.cs.WithValues(std::move(assignment)), rng);
   bundle.sans = EncodeProofSans(bundle.proof.ToBytes(), domain);
   bundle.proof_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

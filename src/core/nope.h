@@ -10,25 +10,30 @@
 #include "src/core/statement.h"
 #include "src/groth16/groth16.h"
 #include "src/pki/san_encoding.h"
+#include "src/r1cs/opt/optimizer.h"
 #include "src/service/pvk_cache.h"
 #include "src/tls/handshake.h"
 
 namespace nope {
 
-// One proof-system deployment: a statement shape plus its Groth16 keys. The
-// root ZSK (trust anchor) is baked into the circuit at setup, mirroring the
-// hard-coded DNSSEC root key.
+// One proof-system deployment: a statement shape, its optimization plan and
+// its Groth16 keys. The root ZSK (trust anchor) is baked into the circuit at
+// setup, mirroring the hard-coded DNSSEC root key.
 struct NopeDeployment {
   StatementParams params;
   DnskeyRdata root_zsk;
+  // The optimizer's result for this statement shape, computed once at setup:
+  // pk is made for plan.cs, and each proof maps its assignment into it.
+  OptimizeResult plan;
   groth16::ProvingKey pk;
 
   const groth16::VerifyingKey& vk() const { return pk.vk; }
 };
 
 // Runs the one-time trusted setup for the statement shape that fits
-// `domain` inside `dns`. The sample witness only shapes the matrices; the
-// resulting keys verify proofs for any witness of the same shape.
+// `domain` inside `dns`, optimizing it once into the deployment's plan. The
+// sample witness only shapes the matrices; the resulting keys verify proofs
+// for any witness of the same shape.
 NopeDeployment NopeTrustedSetup(DnssecHierarchy* dns, const DnsName& domain,
                                 StatementOptions options, Rng* rng);
 
@@ -37,7 +42,8 @@ StatementWitness BuildWitness(DnssecHierarchy* dns, const DnsName& domain,
                               const Bytes& tls_public_key, const std::string& ca_name,
                               uint64_t expected_issuance_time);
 
-// Fig. 2 steps 1-2: produce the proof and its SAN encoding.
+// Fig. 2 steps 1-2: produce the proof and its SAN encoding. The assignment is
+// mapped through deployment.plan; the optimizer does not run per proof.
 struct NopeProofBundle {
   groth16::Proof proof;
   std::vector<std::string> sans;

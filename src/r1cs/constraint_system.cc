@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/base/check.h"
+
 namespace nope {
 
 LinearCombination LinearCombination::Constant(const Fr& c) {
@@ -163,6 +165,13 @@ bool ConstraintSystem::SatisfiedBy(const std::vector<Fr>& values, size_t* bad) c
     }
   }
   return true;
+}
+
+ConstraintSystem ConstraintSystem::WithValues(std::vector<Fr> values) const {
+  NOPE_INVARIANT(values.size() == values_.size(), "WithValues: assignment has the wrong arity");
+  ConstraintSystem out = *this;
+  out.values_ = std::move(values);
+  return out;
 }
 
 void ConstraintSystem::BeginScope(std::string name) {

@@ -123,6 +123,11 @@ class ConstraintSystem {
   // the system's own witness.
   bool SatisfiedBy(const std::vector<Fr>& values, size_t* bad = nullptr) const;
 
+  // A copy of this system's matrices carrying `values` (indexed like
+  // values(), same arity) as its assignment: seeds a system fixed once, such
+  // as a deployment's optimized statement, with each proof's witness.
+  ConstraintSystem WithValues(std::vector<Fr> values) const;
+
   // Scope annotations: cheap bookkeeping in both modes. Every BeginScope
   // must be matched by an EndScope; unbalanced calls throw.
   void BeginScope(std::string name);

@@ -5,10 +5,18 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/base/check.h"
+
 namespace nope {
 namespace {
 
 constexpr Var kGone = OptimizeResult::kEliminatedVar;
+// Upper bound on pass-loop rounds; the loop also stops at a fixed point.
+constexpr size_t kMaxRounds = 8;
+// Substitution budget: a variable is only folded out when
+// (uses outside its defining constraint) * (expression terms) stays within
+// this bound, so eliminations cannot blow up matrix density.
+constexpr size_t kMaxFill = 64;
 
 // Deterministic total order on canonical LCs: term count, then variable ids,
 // then coefficient values. Only used for map keys, never exposed.
@@ -269,7 +277,7 @@ bool FoldPass(Work* w, OptStats* st) {
 // fold the definition into every use when the fill-in stays within budget.
 // The defined variable is chosen deterministically (fewest uses, then lowest
 // id) so matrices stay a pure function of the input system.
-bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims, size_t max_fill) {
+bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims) {
   bool changed = false;
   for (uint32_t ci = 0; ci < w->cons.size(); ++ci) {
     if (w->dead[ci]) {
@@ -297,7 +305,7 @@ bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims, siz
       continue;
     }
     size_t expr_terms = con.a.terms().size() - 1;
-    if (best_uses * expr_terms > max_fill) {
+    if (best_uses * expr_terms > kMaxFill) {
       continue;
     }
     // cv * v + rest = 0  =>  v = rest * (-cv)^-1.
@@ -801,9 +809,8 @@ std::vector<uint32_t> InnermostVarScopes(const ConstraintSystem& cs) {
 }
 
 std::vector<Fr> OptimizeResult::MapAssignment(const std::vector<Fr>& old_values) const {
-  if (old_values.size() != var_map.size()) {
-    throw std::invalid_argument("MapAssignment: assignment has the wrong arity");
-  }
+  NOPE_INVARIANT(old_values.size() == var_map.size(),
+                 "MapAssignment: assignment has the wrong arity");
   std::vector<Fr> out(inverse_map.size());
   for (size_t i = 0; i < inverse_map.size(); ++i) {
     out[i] = old_values[inverse_map[i]];
@@ -812,9 +819,8 @@ std::vector<Fr> OptimizeResult::MapAssignment(const std::vector<Fr>& old_values)
 }
 
 std::vector<Fr> OptimizeResult::LiftAssignment(const std::vector<Fr>& new_values) const {
-  if (new_values.size() != inverse_map.size()) {
-    throw std::invalid_argument("LiftAssignment: assignment has the wrong arity");
-  }
+  NOPE_INVARIANT(new_values.size() == inverse_map.size(),
+                 "LiftAssignment: assignment has the wrong arity");
   std::vector<Fr> out(var_map.size(), Fr::Zero());
   for (size_t i = 0; i < inverse_map.size(); ++i) {
     out[inverse_map[i]] = new_values[i];
@@ -842,10 +848,9 @@ std::vector<Fr> OptimizeResult::LiftAssignment(const std::vector<Fr>& new_values
   return out;
 }
 
-OptimizeResult Optimize(const ConstraintSystem& cs, const OptimizeOptions& options) {
-  if (cs.mode() != ConstraintSystem::Mode::kProve) {
-    throw std::logic_error("Optimize requires a kProve-mode system");
-  }
+OptimizeResult Optimize(const ConstraintSystem& cs) {
+  NOPE_INVARIANT(cs.mode() == ConstraintSystem::Mode::kProve,
+                 "Optimize requires a kProve-mode system");
   const size_t num_vars = cs.NumVariables();
   Work w;
   w.num_public = cs.NumPublic();
@@ -863,33 +868,21 @@ OptimizeResult Optimize(const ConstraintSystem& cs, const OptimizeOptions& optio
   res.stats.constraints_before = w.cons.size();
   res.stats.vars_before = num_vars;
 
-  if (options.unify_spans) {
-    // Must run before any pass reorders or tombstones constraints: scope
-    // spans index into the original constraint layout.
-    BuildOcc(&w, num_vars);
-    UnifySpansPass(&w, cs, &res.stats, &res.eliminations);
-  }
+  // Must run before any pass reorders or tombstones constraints: scope
+  // spans index into the original constraint layout.
+  BuildOcc(&w, num_vars);
+  UnifySpansPass(&w, cs, &res.stats, &res.eliminations);
 
   bool changed = true;
-  while (changed && res.stats.rounds < options.max_rounds) {
+  while (changed && res.stats.rounds < kMaxRounds) {
     ++res.stats.rounds;
     changed = false;
     BuildOcc(&w, num_vars);
-    if (options.canonicalize) {
-      changed = FoldPass(&w, &res.stats) || changed;
-    }
-    if (options.substitute_linear) {
-      changed = SubstLinearPass(&w, &res.stats, &res.eliminations, options.max_fill) || changed;
-    }
-    if (options.share_products) {
-      changed = SharePass(&w, &res.stats, &res.eliminations) || changed;
-    }
-    if (options.share_affine) {
-      changed = AffineSharePass(&w, &res.stats) || changed;
-    }
-    if (options.eliminate_dead) {
-      changed = DeadPass(&w, &res.stats, &res.eliminations, num_vars) || changed;
-    }
+    changed = FoldPass(&w, &res.stats) || changed;
+    changed = SubstLinearPass(&w, &res.stats, &res.eliminations) || changed;
+    changed = SharePass(&w, &res.stats, &res.eliminations) || changed;
+    changed = AffineSharePass(&w, &res.stats) || changed;
+    changed = DeadPass(&w, &res.stats, &res.eliminations, num_vars) || changed;
   }
 
   // Compact: public inputs keep their ids, surviving witnesses keep their

@@ -23,18 +23,18 @@
 //       equivalence contract below then relies on spans being *functional*:
 //       local wires uniquely determined by the external inputs, which holds
 //       for every gadget in this library (bit decompositions, inverse hints,
-//       carry/quotient witnesses are all unique). Disable unify_spans for
-//       circuits with free non-deterministic wires that escape their span.
+//       carry/quotient witnesses are all unique). A gadget with free
+//       non-deterministic wires that escape its span would break Map.
 //   (f) affine product sharing: products S * (V + k1) = c1 and
 //       S * (V + k2) = c2 differ by the identity c2 - c1 = (k2 - k1) * S, so
 //       the second is replaced by that linear constraint.
 //
-// Determinism contract: the optimized matrices are a pure function of the
-// input matrices (never of the witness values), all passes run serially in
-// constraint order, and the result is identical across NOPE_THREADS. Setup
-// (sample witness) and Prove (real witness) therefore agree on the optimized
-// system as long as they agree on the input system, which the repo already
-// guarantees.
+// Determinism contract: the optimized matrices, var_map and eliminations are
+// a pure function of the input matrices (never of the witness values), all
+// passes run serially in constraint order, and the result is identical
+// across NOPE_THREADS. A result computed once from a sample witness is thus a
+// plan for every witness of the same shape: NopeTrustedSetup optimizes once,
+// and each proof maps its assignment into the plan's matrices.
 //
 // Assignment mapping: because variables are eliminated, the optimized and
 // original systems index different witness vectors. MapAssignment compresses
@@ -52,20 +52,6 @@
 #include "src/r1cs/constraint_system.h"
 
 namespace nope {
-
-struct OptimizeOptions {
-  bool canonicalize = true;       // pass (a): fold + canonical LCs
-  bool substitute_linear = true;  // fold linear definitions into their uses
-  bool share_products = true;     // pass (c): CSE across gadget instances
-  bool eliminate_dead = true;     // pass (b): dead wires + defining products
-  bool unify_spans = true;        // pass (e): duplicate scope-span aliasing
-  bool share_affine = true;       // pass (f): affine-related product rewrite
-  size_t max_rounds = 8;
-  // Substitution budget: a variable is only folded out when
-  // (uses outside its defining constraint) * (expression terms) stays within
-  // this bound, so eliminations cannot blow up matrix density.
-  size_t max_fill = 64;
-};
 
 struct OptStats {
   size_t rounds = 0;
@@ -124,14 +110,16 @@ struct OptimizeResult {
   OptStats stats;
 
   // Compresses an original-indexed assignment to the optimized indexing.
+  // Both directions abort on an assignment of the wrong arity.
   std::vector<Fr> MapAssignment(const std::vector<Fr>& old_values) const;
   // Expands an optimized-indexed assignment back to the original indexing,
   // recomputing eliminated variables from their recorded expressions.
   std::vector<Fr> LiftAssignment(const std::vector<Fr>& new_values) const;
 };
 
-// Optimizes a kProve-mode system. The input is not modified.
-OptimizeResult Optimize(const ConstraintSystem& cs, const OptimizeOptions& options = {});
+// Optimizes a kProve-mode system (a kCount system is a programming error and
+// aborts). The input is not modified.
+OptimizeResult Optimize(const ConstraintSystem& cs);
 
 // Innermost-scope attribution for the ORIGINAL system: element i names the
 // scopes() index owning constraint i (kNoScope when outside every scope).

@@ -128,6 +128,25 @@ TEST(ConstraintSystem, SatisfiedByExternalAssignment) {
   EXPECT_EQ(which, 0u);
 }
 
+TEST(ConstraintSystem, WithValuesKeepsMatricesAndSwapsAssignment) {
+  ConstraintSystem cs;
+  Var x = cs.AddPublicInput(Fr::FromU64(3));
+  Var y = cs.AddWitness(Fr::FromU64(9));
+  cs.Enforce(LC(x), LC(x), LC(y));
+  ConstraintSystem seeded = cs.WithValues({Fr::One(), Fr::FromU64(4), Fr::FromU64(16)});
+  EXPECT_EQ(seeded.NumPublic(), cs.NumPublic());
+  EXPECT_EQ(seeded.NumConstraints(), cs.NumConstraints());
+  EXPECT_EQ(seeded.ValueOf(y), Fr::FromU64(16));
+  EXPECT_TRUE(seeded.IsSatisfied());
+  EXPECT_EQ(cs.ValueOf(y), Fr::FromU64(9));  // the source is untouched
+}
+
+TEST(ConstraintSystemDeathTest, WithValuesWrongArityAborts) {
+  ConstraintSystem cs;
+  cs.AddWitness(Fr::FromU64(3));
+  EXPECT_DEATH(cs.WithValues({Fr::One()}), "wrong arity");
+}
+
 TEST(ConstraintSystem, ScopesRecordConstraintAndVarSpans) {
   ConstraintSystem cs;
   Var x = cs.AddWitness(Fr::FromU64(2));

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/sha256.h"
 #include "src/core/nope.h"
 #include "src/core/statement.h"
 #include "src/groth16/groth16.h"
@@ -175,13 +176,6 @@ TEST(Optimizer, UnifiesDuplicateGadgetSpans) {
   // Lift reconstructs the duplicate instance's wires from the original's.
   std::vector<Fr> lifted = res.LiftAssignment(res.MapAssignment(cs.values()));
   EXPECT_TRUE(cs.SatisfiedBy(lifted));
-
-  // A disabled unify pass leaves both instances in place.
-  OptimizeOptions off;
-  off.unify_spans = false;
-  OptimizeResult res_off = Optimize(cs, off);
-  EXPECT_EQ(res_off.stats.unified_spans, 0u);
-  EXPECT_GT(res_off.cs.NumConstraints(), res.cs.NumConstraints());
 }
 
 TEST(Optimizer, DoesNotUnifyPureAllocationSpans) {
@@ -258,6 +252,35 @@ TEST(Optimizer, VarMapAndInverseAreConsistent) {
     }
   }
   EXPECT_EQ(eliminated + res.cs.NumVariables(), cs.NumVariables());
+}
+
+// Arity and mode misuse are programmer errors on every proof's path: they
+// abort rather than throw.
+OptimizeResult SmallPlan(ConstraintSystem* cs) {
+  Var x = cs->AddWitness(U64Fr(3));
+  Mul(cs, x, x);
+  return Optimize(*cs);
+}
+
+TEST(OptimizerDeathTest, MapAssignmentWrongArityAborts) {
+  ConstraintSystem cs;
+  OptimizeResult res = SmallPlan(&cs);
+  std::vector<Fr> short_values(cs.NumVariables() - 1, Fr::One());
+  EXPECT_DEATH(res.MapAssignment(short_values), "MapAssignment: assignment has the wrong arity");
+}
+
+TEST(OptimizerDeathTest, LiftAssignmentWrongArityAborts) {
+  ConstraintSystem cs;
+  OptimizeResult res = SmallPlan(&cs);
+  std::vector<Fr> long_values(res.cs.NumVariables() + 1, Fr::One());
+  EXPECT_DEATH(res.LiftAssignment(long_values), "LiftAssignment: assignment has the wrong arity");
+}
+
+TEST(OptimizerDeathTest, OptimizeCountModeSystemAborts) {
+  ConstraintSystem counter(ConstraintSystem::Mode::kCount);
+  Var x = counter.AddWitness(U64Fr(3));
+  counter.Enforce(LC(x), LC(x), LC(x));
+  EXPECT_DEATH(Optimize(counter), "requires a kProve-mode system");
 }
 
 struct OptStatementFixture {
@@ -381,13 +404,14 @@ TEST(OptimizerStatement, OptimizedProofsVerify) {
 }
 
 TEST(OptimizerStatement, EndToEndDeploymentUsesOptimizedCircuit) {
-  // NopeTrustedSetup/GenerateNopeProof honor StatementOptions::optimize_circuit
-  // and the resulting bundle verifies through the client path.
+  // NopeTrustedSetup optimizes once into the deployment's plan, the keys are
+  // made for the plan's matrices, and GenerateNopeProof's bundle (proved over
+  // the plan, with no optimizer run) verifies through the client path.
   OptStatementFixture f;
   Rng rng(99);
-  StatementOptions options = StatementOptions::Full();
-  ASSERT_TRUE(options.optimize_circuit);
-  NopeDeployment dep = NopeTrustedSetup(&f.dns, f.domain, options, &rng);
+  NopeDeployment dep = NopeTrustedSetup(&f.dns, f.domain, StatementOptions::Full(), &rng);
+  EXPECT_EQ(dep.pk.a_query.size(), dep.plan.cs.NumVariables());
+  EXPECT_LT(dep.plan.cs.NumVariables(), dep.plan.stats.vars_before);
   NopeProofBundle bundle =
       GenerateNopeProof(dep, &f.dns, f.domain, Bytes(65, 0x04), "Example CA", 1750000000, &rng);
   groth16::Proof proof = groth16::Proof::FromBytes(
@@ -397,14 +421,20 @@ TEST(OptimizerStatement, EndToEndDeploymentUsesOptimizedCircuit) {
       NopePublicInputs(dep.params, f.domain, TlsKeyDigest(Bytes(65, 0x04)),
                        CaNameDigest("Example CA"), ts);
   EXPECT_TRUE(groth16::Verify(dep.vk(), pub, proof));
+  // Pinned proof bytes for these seeds. They are the bytes a per-proof
+  // Optimize() run produced, so proving over the plan changes no byte.
+  EXPECT_EQ(EncodeHex(Sha256::Hash(proof.ToBytes())),
+            "5989f8fa4902ac0510b4aff2262772eed8207dc59d4a13815cd9b0184ff0634a");
 
-  // The unoptimized deployment keys have a different shape (more witness
-  // variables), so the optimizer is demonstrably in the proving path.
-  StatementOptions raw = options;
-  raw.optimize_circuit = false;
-  Rng rng2(99);
-  NopeDeployment dep_raw = NopeTrustedSetup(&f.dns, f.domain, raw, &rng2);
-  EXPECT_LT(dep.pk.a_query.size(), dep_raw.pk.a_query.size());
+  // For a witness other than the setup sample's, mapping through the plan
+  // yields exactly the system a per-proof Optimize() would have proved.
+  StatementWitness w =
+      BuildWitness(&f.dns, f.domain, Bytes(65, 0x05), "Other CA", 1760000000);
+  ConstraintSystem cs;
+  BuildNopeStatement(&cs, dep.params, w);
+  OptimizeResult direct = Optimize(cs);
+  EXPECT_TRUE(SameMatrices(direct.cs, dep.plan.cs));
+  EXPECT_TRUE(dep.plan.MapAssignment(cs.values()) == direct.cs.values());
 }
 
 }  // namespace
