@@ -77,7 +77,6 @@ int main() {
   EmitJson("r1cs.opt.unified_vars", static_cast<double>(st.unified_vars));
   EmitJson("r1cs.opt.affine_rewrites", static_cast<double>(st.affine_rewrites));
   EmitJson("r1cs.opt.substituted_vars", static_cast<double>(st.substituted_vars));
-  EmitJson("r1cs.opt.deduped_constraints", static_cast<double>(st.deduped_constraints));
   EmitJson("r1cs.opt.projected_products", static_cast<double>(st.projected_products));
 
   // Baseline design: the config the >= 10% acceptance bar is measured on.

@@ -47,10 +47,11 @@ for t in "${SAN_TARGETS[@]}"; do
 done
 
 echo "=== stage 4a: R1CS optimizer equivalence + gadget audit (ASan/UBSan) ==="
-# Optimizer unit + Map/Lift equivalence tests under the sanitizers; the
-# OptimizerStatement.* suite (full-statement builds plus Groth16 proving) is
-# minutes-long even unsanitized, so it runs in the plain tier-1 stage only.
-./build-san/tests/r1cs_opt_test --gtest_filter='Optimizer.*'
+# Optimizer unit + Map/Lift equivalence tests and the misuse death tests
+# under the sanitizers; the OptimizerStatement.* suite (full-statement builds
+# plus Groth16 proving) is minutes-long even unsanitized, so it runs in the
+# plain tier-1 stage only.
+./build-san/tests/r1cs_opt_test --gtest_filter='Optimizer.*:OptimizerDeathTest.*'
 # Full per-gadget mutation audit with a reduced per-gadget assignment budget
 # (the plain ctest run uses the default 1000); still runs every registered
 # gadget pre- and post-optimization and both broken fixtures.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 #include "src/base/check.h"
@@ -41,72 +40,6 @@ int CompareLc(const LC& x, const LC& y) {
 }
 
 bool SameLc(const LC& x, const LC& y) { return CompareLc(x, y) == 0; }
-
-// a*b is commutative, so constraints are keyed with the smaller side first.
-struct ConstraintKey {
-  LC a, b, c;
-
-  static ConstraintKey Of(const Constraint& con) {
-    ConstraintKey k;
-    if (CompareLc(con.b, con.a) < 0) {
-      k.a = con.b;
-      k.b = con.a;
-    } else {
-      k.a = con.a;
-      k.b = con.b;
-    }
-    k.c = con.c;
-    return k;
-  }
-  bool Matches(const Constraint& con) const {
-    ConstraintKey other = Of(con);
-    return SameLc(a, other.a) && SameLc(b, other.b) && SameLc(c, other.c);
-  }
-};
-
-struct ConstraintKeyLess {
-  bool operator()(const ConstraintKey& x, const ConstraintKey& y) const {
-    int c = CompareLc(x.a, y.a);
-    if (c != 0) {
-      return c < 0;
-    }
-    c = CompareLc(x.b, y.b);
-    if (c != 0) {
-      return c < 0;
-    }
-    return CompareLc(x.c, y.c) < 0;
-  }
-};
-
-struct ProductKey {
-  LC a, b;
-
-  static ProductKey Of(const Constraint& con) {
-    ProductKey k;
-    if (CompareLc(con.b, con.a) < 0) {
-      k.a = con.b;
-      k.b = con.a;
-    } else {
-      k.a = con.a;
-      k.b = con.b;
-    }
-    return k;
-  }
-  bool Matches(const Constraint& con) const {
-    ProductKey other = Of(con);
-    return SameLc(a, other.a) && SameLc(b, other.b);
-  }
-};
-
-struct ProductKeyLess {
-  bool operator()(const ProductKey& x, const ProductKey& y) const {
-    int c = CompareLc(x.a, y.a);
-    if (c != 0) {
-      return c < 0;
-    }
-    return CompareLc(x.b, y.b) < 0;
-  }
-};
 
 // The normal form of a folded/linear constraint: L * 1 = 0.
 bool IsLinearForm(const Constraint& con) {
@@ -334,80 +267,6 @@ bool SubstLinearPass(Work* w, OptStats* st, std::vector<Elimination>* elims) {
   return changed;
 }
 
-// Pass (c): exact duplicate constraints collapse to one, and two products
-// with identical (a, b) sides that each define a fresh variable share one
-// definition (the second variable becomes a scaling of the first).
-bool SharePass(Work* w, OptStats* st, std::vector<Elimination>* elims) {
-  bool changed = false;
-  struct Def {
-    uint32_t ci;
-    Var v;
-    Fr k;
-  };
-  std::map<ConstraintKey, uint32_t, ConstraintKeyLess> exact;
-  std::map<ProductKey, Def, ProductKeyLess> defs;
-  for (uint32_t ci = 0; ci < w->cons.size(); ++ci) {
-    if (w->dead[ci]) {
-      continue;
-    }
-    Constraint& con = w->cons[ci];
-    auto [it, inserted] = exact.try_emplace(ConstraintKey::Of(con), ci);
-    if (!inserted) {
-      uint32_t first = it->second;
-      // Guard against stale keys: a substitution after insertion may have
-      // rewritten the stored constraint.
-      if (!w->dead[first] && it->first.Matches(w->cons[first])) {
-        w->dead[ci] = 1;
-        ++st->deduped_constraints;
-        changed = true;
-        continue;
-      }
-    }
-    if (IsLinearForm(con) || con.a.IsConstant() || con.b.IsConstant()) {
-      continue;
-    }
-    if (con.c.terms().size() != 1) {
-      continue;
-    }
-    auto [v, k] = con.c.terms()[0];
-    if (v == kOneVar || v < w->num_public || w->gone[v]) {
-      continue;
-    }
-    if (ContainsVar(con.a, v) || ContainsVar(con.b, v)) {
-      continue;
-    }
-    auto [dit, dins] = defs.try_emplace(ProductKey::Of(con), Def{ci, v, k});
-    if (dins) {
-      continue;
-    }
-    Def& d = dit->second;
-    if (w->dead[d.ci] || w->gone[d.v] || !dit->first.Matches(w->cons[d.ci])) {
-      continue;  // stale entry; the next round rebuilds the map
-    }
-    if (d.v == v) {
-      if (d.k == k) {
-        w->dead[ci] = 1;
-        ++st->deduped_constraints;
-        changed = true;
-      }
-      continue;
-    }
-    // a*b = d.k * d.v and a*b = k * v  =>  v = (d.k / k) * d.v.
-    Elimination e;
-    e.kind = Elimination::Kind::kLinear;
-    e.var = v;
-    e.constant = Fr::Zero();
-    e.terms.emplace_back(d.v, d.k * k.Inverse());
-    w->dead[ci] = 1;
-    w->gone[v] = 1;
-    ApplySubst(w, v, e.terms, e.constant, ci);
-    elims->push_back(std::move(e));
-    ++st->shared_products;
-    changed = true;
-  }
-  return changed;
-}
-
 // Pass (b): variables used by no live constraint are dropped, and a
 // single-use defining product a*b = k*v is projected out with its
 // constraint (v's value is recomputable from a and b).
@@ -488,9 +347,11 @@ void SplitConstant(const LC& lc, Fr* cst, LC* vars) {
 // and whose other sides have the same variable part V satisfy the identity
 //   S*(V + k1) = c1  and  S*(V + k2) = c2   =>   c2 - c1 - (k2 - k1)*S = 0,
 // so the later product is replaced by that linear constraint (k2 == k1 covers
-// products with identical sides but different output combinations). Nothing
-// is eliminated here; SubstLinearPass folds the linear form on a later round.
-bool AffineSharePass(Work* w, OptStats* st) {
+// products with identical sides: an exact duplicate decays to 0 == 0 and is
+// dropped, a second definition c2 of the same product becomes c2 - c1 = 0).
+// Nothing is eliminated here; SubstLinearPass folds the linear form on a
+// later round.
+bool AffinePass(Work* w, OptStats* st) {
   struct AffineKey {
     LC shared;  // one full side, constant included
     LC other_vars;
@@ -632,7 +493,9 @@ uint64_t HashSpanStream(const Work& w, const ScopeSpan& s, size_t* num_external)
 // the corresponding constraint of p once q's locals are renamed positionally
 // onto p's. On success the referenced locals are aliased (kLinear
 // eliminations) and every live use is rewritten, which turns q's constraint
-// range into exact duplicates of p's for SharePass to collapse.
+// range into exact duplicates of p's: AffinePass reduces a duplicate
+// product to 0 == 0 and SubstLinearPass plus FoldPass clear a duplicate
+// linear constraint.
 bool TryUnifySpans(Work* w, const ScopeSpan& p, const ScopeSpan& q, OptStats* st,
                    std::vector<Elimination>* elims) {
   if (p.num_constraints != q.num_constraints || p.num_vars != q.num_vars) {
@@ -685,7 +548,7 @@ bool TryUnifySpans(Work* w, const ScopeSpan& p, const ScopeSpan& q, OptStats* st
     ++aliases;
   }
   if (aliases == 0) {
-    return false;  // already identical; plain dedupe handles it
+    return false;  // already identical; the affine and linear passes handle it
   }
   const uint32_t no_exclude = static_cast<uint32_t>(w->cons.size());
   for (size_t o = 0; o < q.num_vars; ++o) {
@@ -763,10 +626,7 @@ LC RemapLc(const LC& lc, const std::vector<Var>& var_map) {
   LC out;
   for (const auto& [v, c] : lc.terms()) {
     Var nv = v == kOneVar ? kOneVar : var_map[v];
-    if (nv == kGone) {
-      throw std::logic_error("optimizer invariant violated: live constraint references "
-                             "an eliminated variable");
-    }
+    NOPE_INVARIANT(nv != kGone, "optimizer: live constraint references an eliminated variable");
     out.Add(nv, c);
   }
   return out;
@@ -880,8 +740,7 @@ OptimizeResult Optimize(const ConstraintSystem& cs) {
     BuildOcc(&w, num_vars);
     changed = FoldPass(&w, &res.stats) || changed;
     changed = SubstLinearPass(&w, &res.stats, &res.eliminations) || changed;
-    changed = SharePass(&w, &res.stats, &res.eliminations) || changed;
-    changed = AffineSharePass(&w, &res.stats) || changed;
+    changed = AffinePass(&w, &res.stats) || changed;
     changed = DeadPass(&w, &res.stats, &res.eliminations, num_vars) || changed;
   }
 

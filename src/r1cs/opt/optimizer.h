@@ -7,27 +7,27 @@
 //   (b) dead-wire elimination: witness variables used by no constraint are
 //       dropped, and a single-use "defining product" a*b = k*v (v nowhere
 //       else) is projected out together with its constraint;
-//   (c) common-subexpression sharing: exact duplicate constraints collapse
-//       to one, and two products with identical (a, b) sides that each
-//       define a fresh variable share one definition;
 //   plus linear substitution: a linear constraint L = 0 defines one of its
 //   variables, which is folded into its uses when the fill-in is small.
 //
-// Two structural passes extend (c) across gadget instances:
+// Two structural passes remove redundancy across gadget instances:
 //   (e) span unification: two scope spans with the same name whose constraint
 //       ranges are identical under the positional variable correspondence
 //       (span-local wire i <-> span-local wire i, external wires equal) are
 //       the same sub-circuit applied to the same inputs. The duplicate's
 //       local wires are aliased onto the original's and its constraints decay
-//       into exact duplicates that (c) removes. The Map direction of the
-//       equivalence contract below then relies on spans being *functional*:
-//       local wires uniquely determined by the external inputs, which holds
-//       for every gadget in this library (bit decompositions, inverse hints,
-//       carry/quotient witnesses are all unique). A gadget with free
-//       non-deterministic wires that escape its span would break Map.
+//       into exact duplicates, which (f) and linear substitution then remove.
+//       The Map direction of the equivalence contract below then relies on
+//       spans being *functional*: local wires uniquely determined by the
+//       external inputs, which holds for every gadget in this library (bit
+//       decompositions, inverse hints, carry/quotient witnesses are all
+//       unique). A gadget with free non-deterministic wires that escape its
+//       span would break Map.
 //   (f) affine product sharing: products S * (V + k1) = c1 and
 //       S * (V + k2) = c2 differ by the identity c2 - c1 = (k2 - k1) * S, so
-//       the second is replaced by that linear constraint.
+//       the second is replaced by that linear constraint. With k1 == k2 this
+//       also covers exact duplicate products (0 == 0, dropped) and two
+//       definitions of one product (c2 - c1 = 0, substituted away).
 //
 // Determinism contract: the optimized matrices, var_map and eliminations are
 // a pure function of the input matrices (never of the witness values), all
@@ -62,8 +62,6 @@ struct OptStats {
   size_t folded_constant = 0;      // products rewritten to linear form
   size_t dropped_trivial = 0;      // 0 == 0 constraints removed
   size_t substituted_vars = 0;     // linear definitions folded out
-  size_t shared_products = 0;      // duplicate defining products merged
-  size_t deduped_constraints = 0;  // exact duplicate constraints removed
   size_t dead_vars = 0;            // variables with no remaining use
   size_t projected_products = 0;   // single-use defining products dropped
   size_t unified_spans = 0;        // duplicate gadget spans aliased away

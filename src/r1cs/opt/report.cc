@@ -2,7 +2,8 @@
 
 #include <cstdio>
 #include <map>
-#include <stdexcept>
+
+#include "src/base/check.h"
 
 namespace nope {
 namespace {
@@ -18,9 +19,12 @@ const std::string& ScopeName(const std::vector<ScopeSpan>& spans, uint32_t scope
 }  // namespace
 
 DensityReport BuildDensityReport(const ConstraintSystem& cs, const OptimizeResult* opt) {
-  if (cs.mode() != ConstraintSystem::Mode::kProve) {
-    throw std::logic_error("BuildDensityReport requires a kProve-mode system");
-  }
+  NOPE_INVARIANT(cs.mode() == ConstraintSystem::Mode::kProve,
+                 "BuildDensityReport requires a kProve-mode system");
+  // Checked before the variable loop below indexes opt->var_map.
+  NOPE_INVARIANT(opt == nullptr || (opt->var_map.size() == cs.NumVariables() &&
+                                    opt->stats.constraints_before == cs.NumConstraints()),
+                 "BuildDensityReport: OptimizeResult is not for this system");
   const std::vector<ScopeSpan>& spans = cs.scopes();
   std::vector<uint32_t> con_scope = InnermostConstraintScopes(cs);
   std::vector<uint32_t> var_scope = InnermostVarScopes(cs);
@@ -56,10 +60,6 @@ DensityReport BuildDensityReport(const ConstraintSystem& cs, const OptimizeResul
     }
   }
   if (opt != nullptr) {
-    if (opt->var_map.size() != cs.NumVariables() ||
-        opt->stats.constraints_before != cs.NumConstraints()) {
-      throw std::invalid_argument("BuildDensityReport: OptimizeResult is not for this system");
-    }
     for (uint32_t scope : opt->constraint_scope) {
       GadgetDensityRow& row = rows[ScopeName(spans, scope)];
       if (row.name.empty()) {

@@ -42,7 +42,8 @@ struct DensityReport {
   size_t total_vars_post = 0;
 };
 
-// `opt`, when non-null, must be the result of optimizing exactly `cs`.
+// `opt`, when non-null, must be the result of optimizing exactly `cs`. A
+// kCount-mode `cs` or a mismatched `opt` is a programming error and aborts.
 DensityReport BuildDensityReport(const ConstraintSystem& cs, const OptimizeResult* opt = nullptr);
 
 // Human-readable table for logs and debugging.

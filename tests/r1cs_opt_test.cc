@@ -106,13 +106,15 @@ TEST(Optimizer, DedupesExactDuplicateConstraints) {
   cs.Enforce(LC(y), LC::Constant(Fr::One()), LC::Constant(U64Fr(9)));
 
   OptimizeResult res = Optimize(cs);
-  EXPECT_GE(res.stats.deduped_constraints, 3u);
+  // The copies and the pin y = 9 leave one product constraint: 5 -> 1.
+  EXPECT_EQ(cs.NumConstraints(), 5u);
+  EXPECT_EQ(res.cs.NumConstraints(), 1u);
   EXPECT_TRUE(res.cs.IsSatisfied());
 }
 
 TEST(Optimizer, SharesDuplicateDefiningProducts) {
   // Two gadget instances each compute x*y into a private fresh variable;
-  // the share pass must merge the definitions.
+  // the optimizer must merge the definitions.
   ConstraintSystem cs;
   Var x = cs.AddWitness(U64Fr(4));
   Var y = cs.AddWitness(U64Fr(6));
@@ -123,9 +125,17 @@ TEST(Optimizer, SharesDuplicateDefiningProducts) {
   cs.Enforce(LC(t1), LC::Constant(Fr::One()), LC::Constant(U64Fr(24)));
 
   OptimizeResult res = Optimize(cs);
-  EXPECT_GE(res.stats.shared_products + res.stats.deduped_constraints, 1u);
   EXPECT_LT(res.cs.NumConstraints(), cs.NumConstraints());
   EXPECT_TRUE(res.cs.IsSatisfied());
+  // One definition survives: 4 -> 1 constraints, 5 -> 3 variables (one, x, y).
+  EXPECT_EQ(cs.NumConstraints(), 4u);
+  EXPECT_EQ(res.cs.NumConstraints(), 1u);
+  EXPECT_EQ(cs.NumVariables(), 5u);
+  EXPECT_EQ(res.cs.NumVariables(), 3u);
+  // The merged-away t1 is recomputed from the surviving definition.
+  std::vector<Fr> lifted = res.LiftAssignment(res.MapAssignment(cs.values()));
+  EXPECT_EQ(lifted[t1], U64Fr(24));
+  EXPECT_TRUE(cs.SatisfiedBy(lifted));
 }
 
 TEST(Optimizer, AffineShareRewritesRelatedProducts) {
@@ -156,7 +166,8 @@ TEST(Optimizer, AffineShareRewritesRelatedProducts) {
 TEST(Optimizer, UnifiesDuplicateGadgetSpans) {
   // Two SliceNope instances over the same array at the same start are the
   // same sub-circuit on the same inputs: span unification aliases the
-  // second instance's wires onto the first and its constraints dedupe away.
+  // second instance's wires onto the first and its constraints, now exact
+  // duplicates, are removed.
   ConstraintSystem cs;
   std::vector<Var> vars = AllocateBytes(&cs, Bytes(16, 0x42));
   std::vector<LC> arr(vars.begin(), vars.end());
@@ -283,6 +294,24 @@ TEST(OptimizerDeathTest, OptimizeCountModeSystemAborts) {
   EXPECT_DEATH(Optimize(counter), "requires a kProve-mode system");
 }
 
+TEST(OptimizerDeathTest, DensityReportCountModeSystemAborts) {
+  ConstraintSystem counter(ConstraintSystem::Mode::kCount);
+  Var x = counter.AddWitness(U64Fr(3));
+  counter.Enforce(LC(x), LC(x), LC(x));
+  EXPECT_DEATH(BuildDensityReport(counter), "BuildDensityReport requires a kProve-mode system");
+}
+
+TEST(OptimizerDeathTest, DensityReportForeignPlanAborts) {
+  ConstraintSystem cs;
+  OptimizeResult res = SmallPlan(&cs);
+  ConstraintSystem other;
+  Var x = other.AddWitness(U64Fr(3));
+  Var y = Mul(&other, x, x);
+  Mul(&other, x, y);
+  EXPECT_DEATH(BuildDensityReport(other, &res),
+               "BuildDensityReport: OptimizeResult is not for this system");
+}
+
 struct OptStatementFixture {
   DnssecHierarchy dns{CryptoSuite::Toy(), 4001};
   DnsName domain = DnsName::FromString("example.com");
@@ -367,6 +396,10 @@ TEST(OptimizerStatement, ReducesNopeDesignStatementAtLeastFivePercent) {
                                static_cast<double>(cs.NumConstraints());
   EXPECT_GE(reduction, 0.05) << "pre=" << cs.NumConstraints()
                              << " post=" << res.cs.NumConstraints();
+  // Pinned post-optimization shape for this fixture, so a change to any
+  // pass shows up here as an explicit number.
+  EXPECT_EQ(res.cs.NumConstraints(), 149312u);
+  EXPECT_EQ(res.cs.NumVariables(), 147364u);
   // The density report attributes every constraint exactly once.
   DensityReport report = BuildDensityReport(cs, &res);
   EXPECT_EQ(report.total_constraints_pre, cs.NumConstraints());
@@ -421,10 +454,12 @@ TEST(OptimizerStatement, EndToEndDeploymentUsesOptimizedCircuit) {
       NopePublicInputs(dep.params, f.domain, TlsKeyDigest(Bytes(65, 0x04)),
                        CaNameDigest("Example CA"), ts);
   EXPECT_TRUE(groth16::Verify(dep.vk(), pub, proof));
-  // Pinned proof bytes for these seeds. They are the bytes a per-proof
-  // Optimize() run produced, so proving over the plan changes no byte.
+  // Pinned proof bytes for these seeds over the plan that the current pass
+  // pipeline produces. A change to any pass changes the plan's matrices and
+  // with them these bytes; the shape pin in
+  // ReducesNopeDesignStatementAtLeastFivePercent names the new size.
   EXPECT_EQ(EncodeHex(Sha256::Hash(proof.ToBytes())),
-            "5989f8fa4902ac0510b4aff2262772eed8207dc59d4a13815cd9b0184ff0634a");
+            "30223ab51a7365ec161176883a989b22e21a902811cc01c668aee377d106100a");
 
   // For a witness other than the setup sample's, mapping through the plan
   // yields exactly the system a per-proof Optimize() would have proved.
