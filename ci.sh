@@ -36,7 +36,8 @@ SAN_TARGETS=(biguint_test hash_test field_test fp_simd_test curve_test
              pki_test analysis_test fault_injection_test
              clock_test timer_wheel_test cancellation_test renewal_sim_test
              key_cache_test service_test scenario_test fleet_sim_test
-             verifier_soundness_test batch_verify_test)
+             verifier_soundness_test batch_verify_test
+             pairing_test pairing_golden_test)
 cmake --build build-san -j "$(nproc)" --target "${SAN_TARGETS[@]}" \
   r1cs_opt_test gadget_audit_test bench_scenario_sweep
 
@@ -97,10 +98,11 @@ echo "digests identical across NOPE_SIMD={off,on} x NOPE_THREADS={1,2,7}"
 
 echo "=== stage 4d: NOPE_SIMD=off build ==="
 # The scalar-only configuration must build and pass the field/MSM/Groth16
-# tests on its own: hosts without AVX2/NEON compile no SIMD translation
+# and pairing tests on its own: hosts without AVX2/NEON compile no SIMD translation
 # units at all, and this leg keeps that path honest.
 cmake -B build-nosimd -S . -DNOPE_SIMD=OFF >/dev/null
-NOSIMD_TARGETS=(field_test fp_simd_test msm_kernel_test groth16_test)
+NOSIMD_TARGETS=(field_test fp_simd_test msm_kernel_test groth16_test
+                pairing_test pairing_golden_test)
 cmake --build build-nosimd -j "$(nproc)" --target "${NOSIMD_TARGETS[@]}" \
   simd_determinism_main
 for t in "${NOSIMD_TARGETS[@]}"; do

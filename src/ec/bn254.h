@@ -63,34 +63,48 @@ bool G2InSubgroupReference(const G2& p);
 
 // Optimal ate pairing e: G1 x G2 -> Fp12. Identity inputs map to 1.
 //
+// The Miller loop runs on the twist E'(Fp2) in homogeneous projective
+// coordinates over a signed-digit form of 6u+2; each step emits its line as
+// three Fp2 coefficients (G2PreparedLine), which are evaluated at the G1
+// point and multiplied into the accumulator with a sparse Fp12 multiply.
+// Every loop over several pairs shares one accumulator, so a product of k
+// pairings pays one Fp12 squaring per loop bit, not k.
+//
 // Contract for degenerate inputs: MillerLoop (all variants) and Pairing
-// return 1 when either argument is the point at infinity. That makes an
-// infinity factor vanish from any pairing-product equation, so callers
-// performing a soundness-critical product check MUST reject infinity inputs
-// at their own boundary before calling in (groth16::Verify/BatchVerify do).
+// return 1 when either argument is the point at infinity (such terms drop
+// out of a multi-pair loop). That makes an infinity factor vanish from any
+// pairing-product equation, so callers performing a soundness-critical
+// product check MUST reject infinity inputs at their own boundary before
+// calling in (groth16::Verify/BatchVerify do).
 Fp12 Pairing(const G1& p, const G2& q);
 
-// Miller loop without the final exponentiation (for multi-pairing).
+// Miller loop without the final exponentiation. Its raw value depends on
+// the loop's internal line scaling (by factors in proper subfields of Fp12,
+// which the final exponentiation maps to 1); only FinalExponentiation of it
+// is canonical.
 Fp12 MillerLoop(const G1& p, const G2& q);
+
+// Final exponentiation f^((p^12 - 1)/r): the easy part (p^6 - 1)(p^2 + 1),
+// then the hard part (p^4 - p^2 + 1)/r = l0 + l1 p + l2 p^2 + p^3 as an
+// exact chain of three exponentiations by u (Scott et al., 2009).
 Fp12 FinalExponentiation(const Fp12& f);
 
-// One precomputed line of a Miller loop with fixed second argument: the
-// slope plus the running point (ax, ay) at which the line was anchored.
-// Evaluating the line at a G1 point (px, py) is
-//   py - ay - lambda * (px - ax),
-// exactly the expression the on-the-fly loop computes, so the prepared path
-// reproduces the unprepared path bit for bit.
+// One line of the Miller loop with the G1 point left symbolic: evaluated at
+// a G1 point (px, py) it is the sparse Fp12 element
+//   ell_0 * py + ell_vw * px * w + ell_vv * v w,
+// the affine line through the untwisted points scaled by a factor in Fp2.
 struct G2PreparedLine {
-  Fp12 lambda;
-  Fp12 ax;
-  Fp12 ay;
+  Fp2 ell_0;
+  Fp2 ell_vw;
+  Fp2 ell_vv;
 };
 
-// All line coefficients of MillerLoop(*, q) for a fixed q: one entry per
-// doubling step, one per addition step (set bits of the ate loop count) and
-// two for the Frobenius correction steps. The fixed-input G2 elements of a
-// Groth16 verifying key (beta, gamma, delta) are prepared once per key and
-// amortized over every subsequent verification.
+// The line coefficients of MillerLoop(*, q) for a fixed q, in loop order:
+// one per doubling, one per nonzero loop digit and two for the Frobenius
+// correction steps. They are exactly the coefficients the on-the-fly loop
+// computes, so replaying them is bit-identical to stepping q. The
+// fixed-input G2 elements of a Groth16 verifying key (beta, gamma, delta)
+// are prepared once per key and amortized over every verification.
 struct G2Prepared {
   bool infinity = true;
   std::vector<G2PreparedLine> lines;
@@ -108,7 +122,14 @@ G2Prepared PrepareG2(const G2& q);
 // the prepared point is infinity.
 Fp12 MillerLoop(const G1& p, const G2Prepared& q);
 
-// Checks prod_i e(p_i, q_i) == 1, sharing one final exponentiation.
+// Product of the Miller loops of every (p, q) pair and every (p, prepared q)
+// term, computed as one loop with a shared accumulator. Equal to the
+// product of the individual MillerLoop values after FinalExponentiation.
+Fp12 MultiMillerLoop(const std::vector<std::pair<G1, G2>>& pairs,
+                     const std::vector<std::pair<G1, const G2Prepared*>>& prepared = {});
+
+// Checks prod_i e(p_i, q_i) == 1 with one shared Miller loop and one final
+// exponentiation.
 bool PairingProductIsOne(const std::vector<std::pair<G1, G2>>& pairs);
 
 }  // namespace nope

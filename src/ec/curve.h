@@ -1,7 +1,6 @@
 // Generic short-Weierstrass elliptic-curve arithmetic in Jacobian
 // coordinates, over any field with the Fp-style interface. Instantiated for
-// BN254 G1 (Groth16), BN254 G2 over Fp2, the untwisted curve over Fp12
-// (pairing), and NIST P-256 (DNSSEC ECDSA).
+// BN254 G1 (Groth16), BN254 G2 over Fp2, and NIST P-256 (DNSSEC ECDSA).
 #ifndef SRC_EC_CURVE_H_
 #define SRC_EC_CURVE_H_
 

@@ -11,19 +11,10 @@ FpParams ComputeFpParams(const BigUInt& modulus) {
   FpParams out;
   out.modulus_big = modulus;
   out.modulus_minus_2 = modulus - BigUInt(2);
-  out.modulus = fp_detail::ToLimbs(modulus);
 
   BigUInt r = BigUInt(1) << 256;
   out.one = fp_detail::ToLimbs(r % modulus);
   out.r2 = fp_detail::ToLimbs((r * r) % modulus);
-
-  // inv = -p^{-1} mod 2^64 via Newton iteration on 64-bit words.
-  uint64_t p0 = out.modulus[0];
-  uint64_t inv = 1;
-  for (int i = 0; i < 6; ++i) {
-    inv *= 2 - p0 * inv;
-  }
-  out.inv = ~inv + 1;  // negate mod 2^64
   return out;
 }
 

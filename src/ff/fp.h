@@ -20,13 +20,17 @@
 #include "src/base/check.h"
 #include "src/ff/fp_simd.h"
 
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
+
 namespace nope {
 
+// Runtime-derived constants; the limb modulus and the Montgomery constant
+// are compile-time members of Fp (kModulus, kInv).
 struct FpParams {
-  std::array<uint64_t, 4> modulus;
   std::array<uint64_t, 4> r2;   // R^2 mod p, R = 2^256
   std::array<uint64_t, 4> one;  // R mod p (Montgomery form of 1)
-  uint64_t inv;                 // -p^{-1} mod 2^64
   BigUInt modulus_big;
   BigUInt modulus_minus_2;  // exponent for Fermat inversion
 };
@@ -52,13 +56,82 @@ inline std::array<uint64_t, 4> ToLimbs(const BigUInt& v) {
 inline BigUInt FromLimbs(const std::array<uint64_t, 4>& limbs) {
   return BigUInt::FromLimbsLE(limbs.data(), 4);
 }
+
+// a + b + *carry with the carry-out written back to *carry (0 or 1), in
+// portable C++. Compiled on every platform so tests can compare it with
+// AddCarry; it is what AddCarry runs off x86-64.
+inline uint64_t AddCarryPortable(uint64_t a, uint64_t b, unsigned char* carry) {
+  uint128 sum = static_cast<uint128>(a) + b + *carry;
+  *carry = static_cast<unsigned char>(sum >> 64);
+  return static_cast<uint64_t>(sum);
+}
+
+// a - b - *borrow with the borrow-out written back to *borrow (0 or 1).
+inline uint64_t SubBorrowPortable(uint64_t a, uint64_t b, unsigned char* borrow) {
+  uint128 diff = static_cast<uint128>(a) - b - *borrow;
+  *borrow = static_cast<unsigned char>((diff >> 64) & 1);
+  return static_cast<uint64_t>(diff);
+}
+
+// The carry chains of Fp add/sub. On x86-64 they use the adc/sbb
+// intrinsics: gcc compiles the 128-bit form above into two-word adds with
+// register spills; the intrinsics cut handshake_nope's median operation
+// time by ~25% (EXPERIMENTS.md, "Carry intrinsics"). Same words either way.
+inline uint64_t AddCarry(uint64_t a, uint64_t b, unsigned char* carry) {
+#if defined(__x86_64__)
+  unsigned long long out;
+  *carry = _addcarry_u64(*carry, a, b, &out);
+  return out;
+#else
+  return AddCarryPortable(a, b, carry);
+#endif
+}
+
+inline uint64_t SubBorrow(uint64_t a, uint64_t b, unsigned char* borrow) {
+#if defined(__x86_64__)
+  unsigned long long out;
+  *borrow = _subborrow_u64(*borrow, a, b, &out);
+  return out;
+#else
+  return SubBorrowPortable(a, b, borrow);
+#endif
+}
+
+// Compile-time limbs of a decimal string below 2^256.
+constexpr std::array<uint64_t, 4> DecimalLimbs(const char* s) {
+  std::array<uint64_t, 4> v{0, 0, 0, 0};
+  for (; *s != '\0'; ++s) {
+    uint128 carry = static_cast<uint128>(*s - '0');
+    for (int i = 0; i < 4; ++i) {
+      uint128 cur = static_cast<uint128>(v[i]) * 10 + carry;
+      v[i] = static_cast<uint64_t>(cur);
+      carry = cur >> 64;
+    }
+  }
+  return v;
+}
+
+// -p^{-1} mod 2^64 for odd p0, by Newton iteration on 64-bit words.
+constexpr uint64_t NegInverse64(uint64_t p0) {
+  uint64_t inv = 1;
+  for (int i = 0; i < 6; ++i) {
+    inv *= 2 - p0 * inv;
+  }
+  return ~inv + 1;
+}
 }  // namespace fp_detail
 
-// Tag must provide: static const char* ModulusDecimal();
+// Tag must provide: static constexpr const char* ModulusDecimal();
 template <typename Tag>
 class Fp {
  public:
   Fp() : limbs_{0, 0, 0, 0} {}
+
+  // The modulus and Montgomery constant are compile-time constants, so the
+  // add/sub/multiply kernels read immediates; params() holds the rest.
+  static constexpr std::array<uint64_t, 4> kModulus =
+      fp_detail::DecimalLimbs(Tag::ModulusDecimal());
+  static constexpr uint64_t kInv = fp_detail::NegInverse64(kModulus[0]);
 
   static const FpParams& params() {
     static const FpParams p = ComputeFpParams(BigUInt::FromDecimal(Tag::ModulusDecimal()));
@@ -101,27 +174,24 @@ class Fp {
   // fold loops on effectively random field elements, where a 50/50 branch
   // mispredicts every other call and costs more than the whole subtraction.
   Fp operator+(const Fp& o) const {
+    using fp_detail::AddCarry;
+    using fp_detail::SubBorrow;
     Fp out;
-    fp_detail::uint128 carry = 0;
+    unsigned char carry = 0;
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
-      fp_detail::uint128 sum = static_cast<fp_detail::uint128>(limbs_[i]) + o.limbs_[i] + carry;
-      out.limbs_[i] = static_cast<uint64_t>(sum);
-      carry = sum >> 64;
+      out.limbs_[i] = AddCarry(limbs_[i], o.limbs_[i], &carry);
     }
     // d = (a + b) - p; keep it unless the subtraction borrowed past the
     // carry-out (i.e. a + b < p).
-    const std::array<uint64_t, 4>& p = params().modulus;
     std::array<uint64_t, 4> d;
-    fp_detail::uint128 borrow = 0;
+    unsigned char borrow = 0;
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
-      fp_detail::uint128 cur =
-          static_cast<fp_detail::uint128>(out.limbs_[i]) - p[i] - borrow;
-      d[i] = static_cast<uint64_t>(cur);
-      borrow = (cur >> 64) & 1;
+      d[i] = SubBorrow(out.limbs_[i], kModulus[i], &borrow);
     }
-    const uint64_t take_d =
-        static_cast<uint64_t>(carry) | (static_cast<uint64_t>(borrow) ^ 1);
-    const uint64_t mask = 0 - take_d;
+    const uint64_t mask = 0 - static_cast<uint64_t>(carry | (borrow ^ 1));
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
       out.limbs_[i] = (d[i] & mask) | (out.limbs_[i] & ~mask);
     }
@@ -129,24 +199,21 @@ class Fp {
   }
 
   Fp operator-(const Fp& o) const {
+    using fp_detail::AddCarry;
+    using fp_detail::SubBorrow;
     Fp out;
-    fp_detail::uint128 borrow = 0;
+    unsigned char borrow = 0;
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
-      fp_detail::uint128 cur =
-          static_cast<fp_detail::uint128>(limbs_[i]) - o.limbs_[i] - borrow;
-      out.limbs_[i] = static_cast<uint64_t>(cur);
-      borrow = (cur >> 64) & 1;
+      out.limbs_[i] = SubBorrow(limbs_[i], o.limbs_[i], &borrow);
     }
     // If a < b the wrapped difference is off by exactly 2^256 - p; adding
     // p (masked by the final borrow) lands on a - b + p < p.
     const uint64_t mask = 0 - static_cast<uint64_t>(borrow);
-    const std::array<uint64_t, 4>& p = params().modulus;
-    fp_detail::uint128 carry = 0;
+    unsigned char carry = 0;
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
-      fp_detail::uint128 sum =
-          static_cast<fp_detail::uint128>(out.limbs_[i]) + (p[i] & mask) + carry;
-      out.limbs_[i] = static_cast<uint64_t>(sum);
-      carry = sum >> 64;
+      out.limbs_[i] = AddCarry(out.limbs_[i], kModulus[i] & mask, &carry);
     }
     return out;
   }
@@ -200,7 +267,7 @@ class Fp {
       be.mont_mul(reinterpret_cast<const uint64_t*>(a),
                   reinterpret_cast<const uint64_t*>(b),
                   reinterpret_cast<uint64_t*>(out), main,
-                  params().modulus.data(), params().inv);
+                  kModulus.data(), kInv);
     }
     for (size_t i = main; i < n; ++i) {
       out[i].limbs_ = MontMul(a[i].limbs_, b[i].limbs_);
@@ -232,7 +299,7 @@ class Fp {
 
   // Adopts raw Montgomery-form limbs (test and differential-harness hook).
   static Fp FromMontLimbs(const std::array<uint64_t, 4>& limbs) {
-    NOPE_INVARIANT(!GreaterEqual(limbs, params().modulus),
+    NOPE_INVARIANT(!GreaterEqual(limbs, kModulus),
                    "FromMontLimbs: limbs must be canonical (< p)");
     Fp out;
     out.limbs_ = limbs;
@@ -254,34 +321,15 @@ class Fp {
     return true;
   }
 
-  // a -= b, assuming a >= b.
-  static void SubLimbsFrom(std::array<uint64_t, 4>* a, const std::array<uint64_t, 4>& b) {
-    fp_detail::uint128 borrow = 0;
-    for (int i = 0; i < 4; ++i) {
-      fp_detail::uint128 rhs = static_cast<fp_detail::uint128>(b[i]) + borrow;
-      fp_detail::uint128 lhs = (*a)[i];
-      if (lhs >= rhs) {
-        (*a)[i] = static_cast<uint64_t>(lhs - rhs);
-        borrow = 0;
-      } else {
-        (*a)[i] = static_cast<uint64_t>((static_cast<fp_detail::uint128>(1) << 64) + lhs - rhs);
-        borrow = 1;
-      }
-    }
-  }
-
-  static void SubLimbs(std::array<uint64_t, 4>* a, const std::array<uint64_t, 4>& b) {
-    SubLimbsFrom(a, b);
-  }
-
   static std::array<uint64_t, 4> MontMul(const std::array<uint64_t, 4>& a,
                                          const std::array<uint64_t, 4>& b) {
     using fp_detail::uint128;
-    const FpParams& p = params();
     uint64_t t[6] = {0, 0, 0, 0, 0, 0};
+#pragma GCC unroll 4
     for (int i = 0; i < 4; ++i) {
       // Multiplication step: t += a * b[i].
       uint128 carry = 0;
+#pragma GCC unroll 4
       for (int j = 0; j < 4; ++j) {
         uint128 cur = static_cast<uint128>(a[j]) * b[i] + t[j] + carry;
         t[j] = static_cast<uint64_t>(cur);
@@ -292,11 +340,12 @@ class Fp {
       t[5] = static_cast<uint64_t>(cur >> 64);
 
       // Reduction step: make t divisible by 2^64.
-      uint64_t m = t[0] * p.inv;
-      uint128 red = static_cast<uint128>(m) * p.modulus[0] + t[0];
+      uint64_t m = t[0] * kInv;
+      uint128 red = static_cast<uint128>(m) * kModulus[0] + t[0];
       carry = red >> 64;
+#pragma GCC unroll 4
       for (int j = 1; j < 4; ++j) {
-        uint128 c2 = static_cast<uint128>(m) * p.modulus[j] + t[j] + carry;
+        uint128 c2 = static_cast<uint128>(m) * kModulus[j] + t[j] + carry;
         t[j - 1] = static_cast<uint64_t>(c2);
         carry = c2 >> 64;
       }
@@ -305,9 +354,18 @@ class Fp {
       t[4] = t[5] + static_cast<uint64_t>(c3 >> 64);
     }
 
-    std::array<uint64_t, 4> out = {t[0], t[1], t[2], t[3]};
-    if (t[4] != 0 || GreaterEqual(out, p.modulus)) {
-      SubLimbs(&out, p.modulus);
+    // t < 2p. Final conditional subtraction of p, branchless as in
+    // operator+: keep t - p unless it borrowed past the carry word (t < p).
+    std::array<uint64_t, 4> out;
+    unsigned char borrow = 0;
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      out[j] = fp_detail::SubBorrow(t[j], kModulus[j], &borrow);
+    }
+    const uint64_t mask = 0 - (t[4] | static_cast<uint64_t>(borrow ^ 1));
+#pragma GCC unroll 4
+    for (int j = 0; j < 4; ++j) {
+      out[j] = (out[j] & mask) | (t[j] & ~mask);
     }
     return out;
   }
@@ -318,25 +376,25 @@ class Fp {
 // --- Concrete fields -------------------------------------------------------
 
 struct Bn254FqTag {
-  static const char* ModulusDecimal() {
+  static constexpr const char* ModulusDecimal() {
     return "21888242871839275222246405745257275088696311157297823662689037894645226208583";
   }
 };
 
 struct Bn254FrTag {
-  static const char* ModulusDecimal() {
+  static constexpr const char* ModulusDecimal() {
     return "21888242871839275222246405745257275088548364400416034343698204186575808495617";
   }
 };
 
 struct P256FqTag {
-  static const char* ModulusDecimal() {
+  static constexpr const char* ModulusDecimal() {
     return "115792089210356248762697446949407573530086143415290314195533631308867097853951";
   }
 };
 
 struct P256FnTag {
-  static const char* ModulusDecimal() {
+  static constexpr const char* ModulusDecimal() {
     return "115792089210356248762697446949407573529996955224135760342422259061068512044369";
   }
 };

@@ -37,6 +37,22 @@ struct Fp12 {
     return {lhs, v0 + v0};
   }
 
+  // Multiplication by the sparse element a + b w + c v w (the w^0, w^1 and
+  // w^3 slots; the shape of a Miller-loop line on a D-type twist): 13 Fp2
+  // multiplications instead of 18.
+  Fp12 MulBy034(const Fp2& a, const Fp2& b, const Fp2& c) const {
+    Fp6 t0 = c0.ScalarMulFp2(a);
+    Fp6 t1 = c1.MulBy01(b, c);
+    Fp6 mid = (c0 + c1).MulBy01(a + b, c) - t0 - t1;
+    return {t0 + t1.MulByV(), mid};
+  }
+
+  // Squaring for elements of the cyclotomic subgroup, whose order divides
+  // p^4 - p^2 + 1 (the image of the final exponentiation's easy part):
+  // Granger-Scott, 9 Fp2 squarings. The result equals Square() on such
+  // elements and is meaningless on any other.
+  Fp12 CyclotomicSquare() const;
+
   // p^6-power Frobenius: conjugation over Fp6.
   Fp12 Conjugate() const { return {c0, -c1}; }
 

@@ -64,13 +64,18 @@ struct Fp2 {
 };
 
 // Non-residue used to build Fp6: xi = 9 + u.
-inline Fp2 Xi() { return {Fq::FromU64(9), Fq::One()}; }
+inline const Fp2& Xi() {
+  static const Fp2 xi{Fq::FromU64(9), Fq::One()};
+  return xi;
+}
 
 // Multiplication by xi, used in the Fp6/Fp12 reduction steps.
 inline Fp2 MulByXi(const Fp2& a) {
-  // (9 + u)(c0 + c1 u) = (9 c0 - c1) + (9 c1 + c0) u.
-  Fq nine = Fq::FromU64(9);
-  return {nine * a.c0 - a.c1, nine * a.c1 + a.c0};
+  // (9 + u)(c0 + c1 u) = (9 c0 - c1) + (9 c1 + c0) u, with 9 c = 8 c + c
+  // done in additions.
+  Fq nine_c0 = a.c0.Double().Double().Double() + a.c0;
+  Fq nine_c1 = a.c1.Double().Double().Double() + a.c1;
+  return {nine_c0 - a.c1, nine_c1 + a.c0};
 }
 
 }  // namespace nope

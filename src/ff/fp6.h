@@ -37,6 +37,17 @@ struct Fp6 {
 
   Fp6 ScalarMulFp2(const Fp2& s) const { return {c0 * s, c1 * s, c2 * s}; }
 
+  // Multiplication by the sparse element b0 + b1 v: 5 Fp2 multiplications
+  // instead of 6.
+  Fp6 MulBy01(const Fp2& b0, const Fp2& b1) const {
+    Fp2 a_a = c0 * b0;
+    Fp2 b_b = c1 * b1;
+    Fp2 t0 = (c1 + c2) * b1 - b_b;              // c2*b1
+    Fp2 t1 = (c0 + c1) * (b0 + b1) - a_a - b_b;  // c0*b1 + c1*b0
+    Fp2 t2 = (c0 + c2) * b0 - a_a;              // c2*b0
+    return {a_a + MulByXi(t0), t1, t2 + b_b};
+  }
+
   // Multiplication by v: (c0 + c1 v + c2 v^2) * v = xi*c2 + c0 v + c1 v^2.
   Fp6 MulByV() const { return {MulByXi(c2), c0, c1}; }
 

@@ -620,9 +620,8 @@ bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_input
   // e(A, B) e(-IC, gamma) e(-C, delta) = e(alpha, beta), the unprepared
   // equation with the constant factor moved to the right-hand side (exact
   // rearrangement: the final exponentiation is a homomorphism).
-  Fp12 f = MillerLoop(proof.a, proof.b) *
-           MillerLoop(ic.Negate(), pvk.gamma_prep) *
-           MillerLoop(proof.c.Negate(), pvk.delta_prep);
+  Fp12 f = MultiMillerLoop({{proof.a, proof.b}}, {{ic.Negate(), &pvk.gamma_prep},
+                                                  {proof.c.Negate(), &pvk.delta_prep}});
   return FinalExponentiation(f) == pvk.alpha_beta;
 }
 
@@ -661,8 +660,8 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
   }
 
   // Aggregate the fixed-G2 sides in the exponent (cheap Fr arithmetic), so
-  // the whole batch pays one IC MSM, one C MSM and two line-replay Miller
-  // loops:
+  // the whole batch pays one IC MSM, one C MSM and two replayed Miller-loop
+  // terms:
   //   prod_i e(A_i, B_i)^{z_i}
   //     = e(alpha, beta)^{sum z_i} e(sum z_i IC_i, gamma) e(sum z_i C_i, delta).
   std::vector<Fr> ic_scalars(pvk.vk.ic.size(), Fr::Zero());
@@ -687,13 +686,14 @@ BatchVerifyResult BatchVerify(const PreparedVerifyingKey& pvk,
   G1 ic_agg = Msm(pvk.vk.ic, ic_big);
   G1 c_agg = Msm(c_bases, c_scalars);
 
-  Fp12 f = Fp12::One();
+  std::vector<std::pair<G1, G2>> pairs;
+  pairs.reserve(candidates.size());
   for (size_t k = 0; k < candidates.size(); ++k) {
     const Proof& proof = batch[candidates[k]].proof;
-    f = f * MillerLoop(proof.a.ScalarMul(z[k].ToBigUInt()), proof.b);
+    pairs.emplace_back(proof.a.ScalarMul(z[k].ToBigUInt()), proof.b);
   }
-  f = f * MillerLoop(ic_agg.Negate(), pvk.gamma_prep) *
-      MillerLoop(c_agg.Negate(), pvk.delta_prep);
+  Fp12 f = MultiMillerLoop(pairs, {{ic_agg.Negate(), &pvk.gamma_prep},
+                                   {c_agg.Negate(), &pvk.delta_prep}});
   bool combined = FinalExponentiation(f) == pvk.alpha_beta.Pow(z_sum.ToBigUInt());
 
   if (combined) {

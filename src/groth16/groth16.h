@@ -132,13 +132,13 @@ bool Verify(const VerifyingKey& vk, const std::vector<Fr>& public_inputs, const 
 // Precomputed verifier state for one verifying key (ROADMAP item 1). The G2
 // inputs of the pairing product — beta, gamma, delta — never change per
 // deployment, so their Miller-loop line coefficients are computed once
-// here; e(alpha, beta) is fully paired. A prepared verification then costs
-// one fresh Miller loop (A, B), two line-replay loops (gamma, delta), and
-// one final exponentiation, against four fresh loops for the unprepared
-// path. Verdicts are identical to the unprepared path on every input
-// (asserted by the mutation harness): the checks differ only by moving the
-// constant e(alpha, beta) to the right-hand side, which is exact, not
-// probabilistic.
+// here; e(alpha, beta) is fully paired. A prepared verification then runs
+// one shared-accumulator Miller loop over three terms -- (A, B) stepped on
+// the fly, gamma and delta replayed from their lines -- and one final
+// exponentiation, against four stepped terms for the unprepared path.
+// Verdicts are identical to the unprepared path on every input (asserted by
+// the mutation harness): the checks differ only by moving the constant
+// e(alpha, beta) to the right-hand side, which is exact, not probabilistic.
 struct PreparedVerifyingKey {
   VerifyingKey vk;      // retained for the IC combination and fallback
   G2Prepared beta_prep;   // lines for beta_g2 (differential tests; the
@@ -154,7 +154,7 @@ struct PreparedVerifyingKey {
 PreparedVerifyingKey PrepareVerifyingKey(const VerifyingKey& vk);
 
 // Single-proof verification against a prepared key. Same point-check
-// contract and same verdict as Verify(vk, ...), at roughly half the cost.
+// contract and same verdict as Verify(vk, ...), at about 0.75x its cost.
 bool Verify(const PreparedVerifyingKey& pvk, const std::vector<Fr>& public_inputs,
             const Proof& proof);
 
@@ -174,11 +174,11 @@ struct BatchVerifyResult {
   std::vector<size_t> rejected;
 };
 
-// Random-linear-combination batch verification: N proofs cost N Miller
-// loops (z_i A_i, B_i), two line-replay loops over the aggregated gamma and
-// delta G1 sides, one final exponentiation and one Fp12 exponentiation of
-// the precomputed e(alpha, beta) — versus 4N loops and N final
-// exponentiations unbatched.
+// Random-linear-combination batch verification: N proofs cost one
+// shared-accumulator Miller loop over N stepped terms (z_i A_i, B_i) and two
+// replayed terms (the aggregated gamma and delta G1 sides), one final
+// exponentiation and one Fp12 exponentiation of the precomputed
+// e(alpha, beta) — versus 4N terms and N final exponentiations unbatched.
 //
 // Soundness: each member's pairing equation is raised to an independent
 // uniformly random nonzero z_i drawn from `rng`; a batch containing an

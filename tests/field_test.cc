@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/ff/fp12.h"
 
 namespace nope {
@@ -75,6 +77,33 @@ TYPED_TEST(FpTest, FermatLittleTheorem) {
   EXPECT_EQ(a.Pow(F::params().modulus_big - BigUInt(1)), F::One());
 }
 
+// The x86-64 carry intrinsics and the portable fallback other platforms
+// run must produce the same words and carries.
+TEST(FpCarryTest, AddCarryAndSubBorrowMatchPortable) {
+  std::vector<uint64_t> words = {0, 1, 2, 0x7fffffffffffffffull,
+                                 0x8000000000000000ull, ~0ull - 1, ~0ull};
+  Rng rng(105);
+  for (int i = 0; i < 64; ++i) {
+    words.push_back(rng.NextU64());
+  }
+  for (uint64_t a : words) {
+    for (uint64_t b : words) {
+      for (unsigned char c : {0, 1}) {
+        unsigned char fast = c;
+        unsigned char portable = c;
+        ASSERT_EQ(fp_detail::AddCarry(a, b, &fast),
+                  fp_detail::AddCarryPortable(a, b, &portable));
+        ASSERT_EQ(fast, portable);
+        fast = c;
+        portable = c;
+        ASSERT_EQ(fp_detail::SubBorrow(a, b, &fast),
+                  fp_detail::SubBorrowPortable(a, b, &portable));
+        ASSERT_EQ(fast, portable);
+      }
+    }
+  }
+}
+
 TEST(Fp2Test, FieldLaws) {
   Rng rng(105);
   auto random_fp2 = [&] { return Fp2{Fq::Random(&rng), Fq::Random(&rng)}; };
@@ -114,6 +143,16 @@ TEST(Fp6Test, FieldLawsAndVReduction) {
     Fp6 v{Fp2::Zero(), Fp2::One(), Fp2::Zero()};
     EXPECT_EQ(a * v, a.MulByV());
   }
+  // The sparse multiply by b0 + b1 v matches the dense one, and MulByXi
+  // matches multiplication by the xi constant.
+  for (int i = 0; i < 10; ++i) {
+    Fp6 a = rf6();
+    Fp2 b0 = rf2();
+    Fp2 b1 = rf2();
+    Fp6 sparse{b0, b1, Fp2::Zero()};
+    EXPECT_EQ(a.MulBy01(b0, b1), a * sparse);
+    EXPECT_EQ(MulByXi(b0), b0 * Xi());
+  }
   // v^3 == xi.
   Fp6 v{Fp2::Zero(), Fp2::One(), Fp2::Zero()};
   Fp6 xi{Xi(), Fp2::Zero(), Fp2::Zero()};
@@ -139,6 +178,21 @@ TEST(Fp12Test, FieldLawsAndFrobenius) {
     EXPECT_EQ(a.Frobenius(12), a);
     // Frobenius(2) == Frobenius applied twice.
     EXPECT_EQ(a.Frobenius(2), a.Frobenius(1).Frobenius(1));
+  }
+  for (int i = 0; i < 10; ++i) {
+    Fp12 a = rf12();
+    // Sparse line multiply: a * (x + y w + z v w).
+    Fp2 x = rf2();
+    Fp2 y = rf2();
+    Fp2 z = rf2();
+    Fp12 line{Fp6{x, Fp2::Zero(), Fp2::Zero()}, Fp6{y, z, Fp2::Zero()}};
+    EXPECT_EQ(a.MulBy034(x, y, z), a * line);
+    // Granger-Scott squaring agrees with Square() on the cyclotomic
+    // subgroup, the image of a^((p^6 - 1)(p^2 + 1)).
+    Fp12 c = a.Conjugate() * a.Inverse();
+    c = c.Frobenius(2) * c;
+    EXPECT_EQ(c.CyclotomicSquare(), c.Square());
+    EXPECT_EQ(c.CyclotomicSquare().CyclotomicSquare(), c.Square().Square());
   }
   // w^2 == v.
   Fp12 w{Fp6::Zero(), Fp6::One()};

@@ -60,5 +60,13 @@ TEST(Pairing, AdditivityViaProduct) {
   EXPECT_EQ(Pairing(p1.Add(p2), q), Pairing(p1, q) * Pairing(p2, q));
 }
 
+TEST(Pairing, PreparedLineSchedule) {
+  // 6u+2 in non-adjacent form has 66 digits, 22 of them nonzero: 65
+  // doubling lines, 21 addition lines and 2 Frobenius correction lines.
+  G2Prepared prep = PrepareG2(G2Generator());
+  EXPECT_EQ(prep.lines.size(), 65u + 21u + 2u);
+  EXPECT_EQ(sizeof(G2PreparedLine), 192u);
+}
+
 }  // namespace
 }  // namespace nope

@@ -315,8 +315,15 @@ TEST(VerifierSoundness, PreparedVerifyMatchesUnprepared) {
 TEST(VerifierSoundness, PreparedVkSizeBytesCoversLines) {
   KnownExponentVk kvk(7112);
   groth16::PreparedVerifyingKey pvk = groth16::PrepareVerifyingKey(kvk.vk);
-  // Three prepared G2 points, ~102 lines each, 3 Fp12 per line.
-  EXPECT_GT(pvk.SizeBytes(), 3 * 100 * 3 * sizeof(Fp12));
+  // The footprint covers every stored line of beta, gamma and delta, and a
+  // line is three Fp2 coefficients.
+  size_t line_bytes = 0;
+  for (const G2Prepared* prep : {&pvk.beta_prep, &pvk.gamma_prep, &pvk.delta_prep}) {
+    EXPECT_FALSE(prep->lines.empty());
+    line_bytes += prep->lines.size() * sizeof(G2PreparedLine);
+  }
+  EXPECT_GE(pvk.SizeBytes(), line_bytes);
+  EXPECT_EQ(sizeof(G2PreparedLine), 3 * sizeof(Fp2));
   EXPECT_FALSE(pvk.gamma_prep.infinity);
   EXPECT_FALSE(pvk.delta_prep.infinity);
 }
